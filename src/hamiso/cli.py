@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from . import funspace, linmap, macwilliams, quotient, selftest
 from .decompose import Refutation, decompose, monomial_form, verify
-from .errors import HamisoError, NotMonomial
+from .errors import FieldMismatch, HamisoError, LengthMismatch, NotMonomial
 from .serialize import load_code, load_map, rational_str
 
 SCHEMA_VERSION = "1"
@@ -42,11 +42,17 @@ def _emit(report: dict, config: RunConfig, output, command: str) -> None:
             fh.write(text)
 
 
-def _parse_coeffs(text: str) -> tuple:
+def _parse_coeffs(text: str, C) -> tuple:
+    """A coefficient vector of code C: exactly C.k entries, each in [0, q)."""
     try:
-        return tuple(int(c) for c in text.split(","))
+        u = tuple(int(c) for c in text.split(","))
     except ValueError:
         raise HamisoError(f"coefficients must be comma-separated ints: {text!r}") from None
+    if len(u) != C.k:
+        raise LengthMismatch(f"{len(u)} coefficients given, the code has dimension {C.k}")
+    if any(not 0 <= c < C.field.q for c in u):
+        raise FieldMismatch(f"coefficients must be field elements in [0, {C.field.q}): {text!r}")
+    return u
 
 
 def _labels(space, mask: int) -> list:
@@ -55,14 +61,14 @@ def _labels(space, mask: int) -> list:
 
 def cmd_weight(args, cfg):
     C = load_code(args.code)
-    u = _parse_coeffs(args.coeffs)
+    u = _parse_coeffs(args.coeffs, C)
     return {"weight": rational_str(C.weight(u))}, 0
 
 
 def cmd_distance(args, cfg):
     C = load_code(args.code)
-    u = _parse_coeffs(args.coeffs1)
-    v = _parse_coeffs(args.coeffs2)
+    u = _parse_coeffs(args.coeffs1, C)
+    v = _parse_coeffs(args.coeffs2, C)
     return {"distance": rational_str(C.distance(u, v))}, 0
 
 

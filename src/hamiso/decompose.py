@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import EnumerationTooLarge, NotMonomial, NotSaturated, ZeroFunctional
 from .linmap import LinMap
-from .quotient import Quotient, build_quotient, is_saturated, lambda_scalar
+from .quotient import Quotient, build_quotient, is_saturated, lambda_scalar, projective_key
 from .space import PointSet
 
 
@@ -53,30 +53,12 @@ class Refutation:
 
 def _proportional_class(H: LinMap, quotient: Quotient, phi: tuple):
     """Class id and ratio with phi = ratio * (evaluation at the class rep), or None."""
-    field = H.field
-    found = None
-    for cid in range(quotient.num_classes()):
-        rep = quotient.rep(cid)
-        col = H.domain.column(rep)
-        ratio = None
-        ok = True
-        for a, b in zip(phi, col):
-            if (a == 0) != (b == 0):
-                ok = False
-                break
-            if b != 0:
-                r = field.div(a, b)
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    ok = False
-                    break
-        if ok and ratio is not None:
-            # two matching classes would have proportional rep columns and
-            # hence be one class
-            assert found is None, "functional proportional to two distinct classes"
-            found = (cid, ratio)
-    return found
+    key, lead = projective_key(H.field, phi)
+    cid = quotient.class_of_key.get(key)
+    if cid is None:
+        return None
+    i0 = next(i for i, c in enumerate(phi) if c)
+    return cid, H.field.div(lead, H.domain.column(quotient.rep(cid))[i0])
 
 
 def minimal_support(H: LinMap, y, quotient: Quotient | None = None):
@@ -136,7 +118,6 @@ class Decomposition:
 def decompose(H: LinMap):
     """Extract the weighted-composition form, or the first Refutation in point order."""
     qx = build_quotient(H.domain)
-    qy = build_quotient(H.codomain)
     h = []
     omega = []
     for iy in range(H.codomain.n):
@@ -146,6 +127,7 @@ def decompose(H: LinMap):
         cid, w = out
         h.append(cid)
         omega.append(w)
+    qy = build_quotient(H.codomain)
     reps = tuple(qx.rep(cid) for cid in range(qx.num_classes()))
     D = Decomposition(tuple(h), reps, tuple(omega), qx, qy, verified=False)
     if not verify(D, H):

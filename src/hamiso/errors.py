@@ -93,9 +93,5 @@ class SchemaViolation(HamisoError):
     pass
 
 
-class GuardExceeded(HamisoError):
-    pass
-
-
 class SeedRequired(HamisoError):
     pass

@@ -89,11 +89,16 @@ class FunctionSpace:
     def num_codewords(self) -> int:
         return self.field.q**self.k
 
-    def enumerate_codewords(self, max_enum: int = DEFAULT_MAX_ENUM) -> Iterator[tuple]:
-        """All q^k coefficient tuples, ordered by packed index (u[0] least significant)."""
+    def check_enum(self, max_enum: int = DEFAULT_MAX_ENUM) -> int:
+        """q^k, or EnumerationTooLarge when it exceeds max_enum."""
         total = self.num_codewords()
         if total > max_enum:
             raise EnumerationTooLarge(f"{total} codewords exceeds the bound {max_enum}")
+        return total
+
+    def enumerate_codewords(self, max_enum: int = DEFAULT_MAX_ENUM) -> Iterator[tuple]:
+        """All q^k coefficient tuples, ordered by packed index (u[0] least significant)."""
+        total = self.check_enum(max_enum)
         q = self.field.q
         for idx in range(total):
             u = []

@@ -208,7 +208,3 @@ def field_new(p: int, m: int = 1, modulus="auto", order_bound: int = DEFAULT_ORD
     """Construct (or fetch a cached copy of) GF(p^m)."""
     key = None if modulus in (None, "auto") else tuple(c % p for c in modulus)
     return _cached_field(p, m, key, order_bound)
-
-
-def enumerate_field(field: Field) -> list[int]:
-    return field.elements()

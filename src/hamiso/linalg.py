@@ -60,13 +60,6 @@ def solve(field: Field, a_rows, b) -> list[int] | None:
     return x
 
 
-def is_consistent(field: Field, a_rows, b) -> bool:
-    """Whether A x = b has a solution."""
-    if not a_rows:
-        return all(v == 0 for v in b)
-    return solve(field, a_rows, b) is not None
-
-
 def nullspace(field: Field, rows) -> list[list[int]]:
     """Basis of {x : A x = 0}, deterministic order by free column index."""
     if not rows:

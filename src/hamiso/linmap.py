@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 
 from . import linalg
-from .errors import FieldMismatch, SeedRequired, SpaceMismatch
+from .errors import FieldMismatch, SeedRequired, SpaceMismatch, ZeroFunctional
 from .funspace import DEFAULT_MAX_ENUM, FunctionSpace
+from .quotient import projective_key
 
 
 class LinMap:
@@ -69,6 +70,15 @@ def _sample_words(H: LinMap, sample: int, seed: int | None):
     return [tuple(rng.randrange(q) for _ in range(k)) for _ in range(sample)]
 
 
+def _projective_measure(field, space, vectors) -> dict:
+    """Projective key -> total measure of the points whose vectors share it."""
+    out: dict = {}
+    for mu, v in zip(space.measures, vectors):
+        key = projective_key(field, v)[0]
+        out[key] = out.get(key, 0) + mu
+    return out
+
+
 def is_isometry(
     H: LinMap,
     max_enum: int = DEFAULT_MAX_ENUM,
@@ -78,13 +88,32 @@ def is_isometry(
     """Bijective and weight-preserving on every codeword.
 
     Returns (True, None), (False, u) with u the least weight-violating
-    codeword, or (False, None) when the map is not bijective.  With
-    sample=N only N seeded random codewords are checked, so a True verdict
-    is probabilistic.
+    codeword, or (False, None) when the map is not bijective.
+
+    Theorem (MacWilliams extension with measures): a bijective H is an
+    isometry iff m_A = m_B, where m_A gives each projective point P of F^k
+    the measure of the domain points whose column a_x lies on P, and m_B
+    that of the codomain points y whose pulled-back column M d_y lies on P
+    (M the matrix of H, d_y the column of B at y).  Sketch: u takes the
+    value u . a_x at x and u . M d_y at y, so wt(u) - wt(Hu) is the sum of
+    delta = m_A - m_B off the hyperplane u-perp.  If it is 0 for every u,
+    every hyperplane sum of delta equals the total; counting incidences
+    makes the total 0, and the point-hyperplane incidence matrix of
+    PG(k-1, q) is invertible, so delta = 0.
+
+    Exact mode answers every positive by this O((n_A + n_B) k^2) test and
+    enumerates only when the measures differ, to find the least witness.
+    With sample=N only N seeded random codewords are checked, so a True
+    verdict is probabilistic.
     """
     if not H.is_bijective():
         return False, None
     if sample is None:
+        H.domain.check_enum(max_enum)
+        pulled_back = (linalg.mat_vec(H.field, H.matrix, d) for d in zip(*H.codomain.gen))
+        m_a = _projective_measure(H.field, H.domain.space, zip(*H.domain.gen))
+        if m_a == _projective_measure(H.field, H.codomain.space, pulled_back):
+            return True, None
         words = H.domain.enumerate_codewords(max_enum)
     else:
         words = _sample_words(H, sample, seed)
@@ -102,14 +131,26 @@ def is_separating(
 ):
     """Disjoint cozero sets map to disjoint cozero sets.
 
-    Checked over all unordered codeword pairs; (False, (f, g)) carries the
-    least failing pair in enumeration order.  A per-cozero-class union
-    precheck certifies most positive instances without touching pairs.
-    With sample=N only N seeded random codewords feed the pair scan.
+    (False, (f, g)) carries the least failing pair of codewords in
+    enumeration order.  Exact mode first tries decompose: a weighted
+    composition Hf(y) = w(y) f(h(y)) is nonzero at y iff f is nonzero at
+    h(y), so it maps disjoint cozero sets to disjoint ones, and a
+    Decomposition answers True without enumerating.  A refuted map (which
+    may still be separating) falls back to the enumeration: a
+    per-cozero-class union precheck certifies most positives, and the scan
+    over all unordered pairs finds the least witness.  With sample=N only N
+    seeded random codewords feed the precheck and the pair scan.
     """
     if sample is not None:
         words = _sample_words(H, sample, seed)
     else:
+        H.domain.check_enum(max_enum)
+        from .decompose import Decomposition, decompose  # decompose imports this module
+        try:
+            if isinstance(decompose(H), Decomposition):
+                return True, None
+        except ZeroFunctional:
+            pass
         words = list(H.domain.enumerate_codewords(max_enum))
     doms = [H.domain.coz(u).mask for u in words]
     imgs = [H.codomain.coz(H.apply(u)).mask for u in words]

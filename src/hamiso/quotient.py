@@ -7,6 +7,7 @@ generator columns being proportional by a nonzero scalar.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from .errors import NotRelated, PointsRelated
@@ -28,27 +29,24 @@ def related(A: FunctionSpace, x1, x2, max_enum: int = DEFAULT_MAX_ENUM) -> bool:
     return True
 
 
-def _column_scalar(A: FunctionSpace, i1: int, i2: int):
-    """lam with column(i1) = lam * column(i2), or None; lam is nonzero."""
-    c1, c2 = A.column(i1), A.column(i2)
-    lam = None
-    for a, b in zip(c1, c2):
-        if (a == 0) != (b == 0):
-            return None
-        if b != 0:
-            ratio = A.field.div(a, b)
-            if lam is None:
-                lam = ratio
-            elif ratio != lam:
-                return None
-    return lam  # columns are never all-zero under the no-zero-column condition
+def projective_key(field, vec) -> tuple:
+    """(vec / lead, lead) with lead the first nonzero entry of vec.
+
+    Two nonzero vectors are proportional iff their keys agree, and then
+    v1 = (lead1 / lead2) * v2.  The zero vector keys to itself with lead 0.
+    """
+    for lead in vec:
+        if lead:
+            inv = field.inv(lead)
+            return tuple(field.mul(inv, c) for c in vec), lead
+    return tuple(vec), 0
 
 
 def related_fast(A: FunctionSpace, x1, x2) -> bool:
     """Production path: generator columns are proportional by a nonzero scalar."""
     i1 = x1 if isinstance(x1, int) else A.space.index_of(x1)
     i2 = x2 if isinstance(x2, int) else A.space.index_of(x2)
-    return i1 == i2 or _column_scalar(A, i1, i2) is not None
+    return len({projective_key(A.field, A.column(i))[0] for i in (i1, i2)}) == 1
 
 
 @dataclass(frozen=True)
@@ -56,13 +54,15 @@ class Quotient:
     """Partition of the points into proportionality classes.
 
     lambda_to_rep[x] is the scalar with f(x) = lambda_to_rep[x] * f(rep)
-    for every codeword f, rep being the least-index member of x's class.
+    for every codeword f, rep being the least-index member of x's class;
+    class_of_key maps the projective key of each class's columns to its id.
     """
 
     funspace: FunctionSpace
     classes: tuple  # tuple of tuples of point indices, each sorted ascending
     class_of: tuple  # point index -> class id
     lambda_to_rep: tuple  # point index -> scalar relating x to its class rep
+    class_of_key: dict = dataclasses.field(compare=False, repr=False)
 
     def rep(self, class_id: int) -> int:
         return self.classes[class_id][0]
@@ -71,33 +71,24 @@ class Quotient:
         return len(self.classes)
 
     def class_mask(self, class_id: int) -> int:
-        mask = 0
-        for i in self.classes[class_id]:
-            mask |= 1 << i
-        return mask
+        return sum(1 << i for i in self.classes[class_id])
 
 
 def build_quotient(A: FunctionSpace) -> Quotient:
-    n = A.n
-    class_of = [-1] * n
-    classes = []
-    lam = [1] * n
-    for i in range(n):
-        if class_of[i] != -1:
-            continue
-        cid = len(classes)
-        members = [i]
-        class_of[i] = cid
-        for j in range(i + 1, n):
-            if class_of[j] != -1:
-                continue
-            scalar = _column_scalar(A, j, i)
-            if scalar is not None:
-                class_of[j] = cid
-                lam[j] = scalar
-                members.append(j)
-        classes.append(tuple(members))
-    return Quotient(A, tuple(classes), tuple(class_of), tuple(lam))
+    """One pass over the columns, grouping them by projective key: O(n k)."""
+    field = A.field
+    class_of_key: dict = {}
+    classes, class_of, lam, rep_lead = [], [], [], []
+    for i, col in enumerate(zip(*A.gen)):
+        key, lead = projective_key(field, col)
+        cid = class_of_key.setdefault(key, len(classes))
+        if cid == len(classes):
+            classes.append([])
+            rep_lead.append(lead)
+        classes[cid].append(i)
+        class_of.append(cid)
+        lam.append(field.div(lead, rep_lead[cid]))
+    return Quotient(A, tuple(map(tuple, classes)), tuple(class_of), tuple(lam), class_of_key)
 
 
 def lambda_scalar(Q: Quotient, x1, x2) -> int:
@@ -124,15 +115,4 @@ def separating_witness(A: FunctionSpace, x1, x2) -> tuple:
 
 def is_saturated(Q: Quotient, s: PointSet) -> bool:
     """A set is saturated when it is a union of whole classes."""
-    for cls in Q.classes:
-        hits = [i for i in cls if s.mask >> i & 1]
-        if hits and len(hits) != len(cls):
-            return False
-    return True
-
-
-def saturation_mask(Q: Quotient, class_ids) -> int:
-    mask = 0
-    for cid in class_ids:
-        mask |= Q.class_mask(cid)
-    return mask
+    return all(len({s.mask >> i & 1 for i in cls}) == 1 for cls in Q.classes)

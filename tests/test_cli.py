@@ -44,6 +44,26 @@ def test_distance(tmp_path, capsys):
     assert code == 0 and report["distance"] == "5/2"
 
 
+def test_distance_rejects_unequal_lengths(tmp_path, capsys):
+    path = write_json(tmp_path, "f3.json", CODE_F3)
+    code, report = run(capsys, ["distance", "--code", path, "--coeffs1", "1", "--coeffs2", "1,1"])
+    assert code == 1 and report["error"]["type"] == "LengthMismatch"
+
+
+def test_weight_rejects_non_field_coefficient(tmp_path, capsys):
+    code_obj = {"field": {"p": 3}, "space": {"labels": ["a", "b"]}, "rows": [[1, 0], [0, 1]]}
+    path = write_json(tmp_path, "f3.json", code_obj)
+    for coeffs in ("7,0", "-1,0"):
+        code, report = run(capsys, ["weight", "--code", path, f"--coeffs={coeffs}"])
+        assert code == 1 and report["error"]["type"] == "FieldMismatch"
+
+
+def test_weight_rejects_short_coefficient_vector(tmp_path, capsys):
+    path = write_json(tmp_path, "code.json", CODE_WEIGHTED)
+    code, report = run(capsys, ["weight", "--code", path, "--coeffs", "1"])
+    assert code == 1 and report["error"]["type"] == "LengthMismatch"
+
+
 def test_quotient_and_ring(tmp_path, capsys):
     obj = {
         "field": {"p": 2},
