@@ -17,7 +17,7 @@ from .decompose import (
     omega_cocycle_check,
     verify,
 )
-from .funspace import CozRing, FunctionSpace, coz_ring, is_controllable, space_new
+from .funspace import CozRing, FunctionSpace, coz_ring, is_controllable
 from .gf import Field, field_new
 from .linmap import LinMap, disjointness_additivity, is_isometry, is_separating
 from .macwilliams import (
@@ -53,7 +53,6 @@ __all__ = [
     "FunctionSpace",
     "coz_ring",
     "is_controllable",
-    "space_new",
     "Field",
     "field_new",
     "LinMap",

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from . import funspace, linmap, macwilliams, quotient, selftest
 from .decompose import Refutation, decompose, monomial_form, verify
-from .errors import FieldMismatch, HamisoError, LengthMismatch, NotMonomial
+from .errors import FieldMismatch, HamisoError, LengthMismatch, NotMonomial, UsageError
 from .serialize import load_code, load_map, rational_str
 
 SCHEMA_VERSION = "1"
@@ -236,8 +236,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing usage and exiting 2, the negative-verdict code."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hamiso",
         description="Exact weighted-composition analysis of finite-field function spaces",
     )
@@ -265,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs1", required=True)
     p.add_argument("--coeffs2", required=True)
     code_cmd("quotient", "point classes and their connecting scalars")
-    code_cmd("ring", "closure of the cozero sets under union/intersection")
-    code_cmd("controllable", "exhaustive controllability test")
+    code_cmd("ring", "ring generated by the cozero sets: every union of point classes")
+    code_cmd("controllable", "controllability: exactly k point classes; least witness otherwise")
     map_cmd("isometry", "bijective + weight-preserving check")
     map_cmd("separating", "disjointness-preservation check")
     map_cmd("decompose", "weighted-composition extraction")
@@ -279,9 +286,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_report(exc: HamisoError) -> dict:
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as exc:
+        _emit(_error_report(exc), RunConfig(), None, None)
+        return 1
     cfg = RunConfig(
         max_enum=args.max_enum,
         max_ring=args.max_ring,
@@ -292,12 +307,7 @@ def main(argv=None) -> int:
     try:
         report, code = COMMANDS[args.command](args, cfg)
     except HamisoError as exc:
-        _emit(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            cfg,
-            args.output,
-            args.command,
-        )
+        _emit(_error_report(exc), cfg, args.output, args.command)
         return 1
     _emit(report, cfg, args.output, args.command)
     return code

@@ -89,8 +89,12 @@ class ParseError(HamisoError):
     pass
 
 
-class SchemaViolation(HamisoError):
-    pass
+class SchemaViolation(HamisoError, ValueError):
+    """Malformed input: a file or object that does not describe a valid space or code."""
+
+
+class UsageError(HamisoError):
+    """The command line does not parse."""
 
 
 class SeedRequired(HamisoError):

@@ -13,6 +13,8 @@ from . import linalg
 from .errors import (
     EnumerationTooLarge,
     RingTooLarge,
+    SchemaViolation,
+    TheoremViolation,
     WidthMismatch,
     ZeroColumn,
     ZeroSpace,
@@ -24,16 +26,26 @@ DEFAULT_MAX_ENUM = 2**20
 DEFAULT_MAX_RING = 2**16
 
 
+def field_rows(field: Field, rows) -> list[list[int]]:
+    """rows as lists, or SchemaViolation unless every entry is an int in [0, q)."""
+    try:
+        rows = [list(r) for r in rows]
+    except TypeError:
+        raise SchemaViolation("rows must be a list of lists of field elements") from None
+    for r in rows:
+        if any(type(c) is not int or not 0 <= c < field.q for c in r):
+            raise SchemaViolation(f"row entries must be field element indices in [0, {field.q})")
+    return rows
+
+
 class FunctionSpace:
     """A k-dimensional subspace of F^X satisfying the no-zero-column condition."""
 
     def __init__(self, field: Field, space: PointSpace, rows, normalize: bool = False):
-        rows = [list(r) for r in rows]
+        rows = field_rows(field, rows)
         for r in rows:
             if len(r) != space.n:
                 raise WidthMismatch(f"row width {len(r)} != {space.n} points")
-            if any(not 0 <= c < field.q for c in r):
-                raise ValueError("row entries must be field element indices")
         gen = linalg.rref(field, rows)
         if not gen:
             raise ZeroSpace("all generator rows are zero")
@@ -146,26 +158,33 @@ class FunctionSpace:
         return f"FunctionSpace(k={self.k}, n={self.n}, {self.field!r})"
 
 
-def space_new(field, space, rows, normalize: bool = False) -> FunctionSpace:
-    return FunctionSpace(field, space, rows, normalize=normalize)
-
-
 class CozRing:
-    """The closure of {coz(f) : f in A} under finite unions and intersections."""
+    """The ring generated by {coz(f) : f in A} under finite unions and intersections."""
 
     def __init__(self, funspace: FunctionSpace, masks):
         self.funspace = funspace
         self.masks = tuple(sorted(masks))
 
-    def members(self) -> list[PointSet]:
-        return [PointSet(self.funspace.space, m) for m in self.masks]
-
-    def __contains__(self, item) -> bool:
-        mask = item.mask if isinstance(item, PointSet) else item
-        return mask in set(self.masks)
-
     def __len__(self):
         return len(self.masks)
+
+
+def _class_masks(A: FunctionSpace, max_enum: int, max_ring: int) -> list[int]:
+    """A's point classes as bitmasks, behind the guards the ring closure had.
+
+    EnumerationTooLarge when q^k > max_enum; then RingTooLarge iff there are
+    c > k classes and 2^c > max_ring, since the closure added sets to the
+    cozero sets only when c > k (see is_controllable) and raised once past
+    max_ring.
+    """
+    from .quotient import build_quotient  # quotient imports this module
+
+    A.check_enum(max_enum)
+    Q = build_quotient(A)
+    c = Q.num_classes()
+    if c > A.k and 2**c > max_ring:
+        raise RingTooLarge(f"ring closure exceeds the bound {max_ring}")
+    return [Q.class_mask(cid) for cid in range(c)]
 
 
 def coz_ring(
@@ -173,23 +192,18 @@ def coz_ring(
     max_enum: int = DEFAULT_MAX_ENUM,
     max_ring: int = DEFAULT_MAX_RING,
 ) -> CozRing:
-    """Fixpoint closure of the cozero sets under pairwise union and intersection."""
-    gens = {A.coz(u).mask for u in A.enumerate_codewords(max_enum)}
-    members = set(gens)
-    frontier = list(gens)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in members.copy():
-                for c in (a | b, a & b):
-                    if c not in members:
-                        members.add(c)
-                        fresh.append(c)
-                        if len(members) > max_ring:
-                            raise RingTooLarge(
-                                f"ring closure exceeds the bound {max_ring}"
-                            )
-        frontier = fresh
+    """The ring generated by the cozero sets: the 2^c unions of point classes.
+
+    Every cozero set is saturated (f(x) = lam * f(rep) on rep's class) and
+    coz(0) is empty, so the ring holds only unions of classes.  Conversely,
+    for unrelated points x and y, quotient.separating_witness gives a
+    codeword nonzero at x and zero at y, and some generator row is nonzero
+    at x, so the cozero sets containing x intersect to exactly x's class:
+    the ring holds every class, hence every union of classes.
+    """
+    members = [0]
+    for m in _class_masks(A, max_enum, max_ring):
+        members += [x | m for x in members]
     return CozRing(A, members)
 
 
@@ -207,59 +221,35 @@ def _constraint_feasible(A: FunctionSpace, d1_mask: int, zero_mask: int, fvals: 
     return A.solve_values(constraints) is not None
 
 
-def controllable_witness_check(
-    A: FunctionSpace,
-    f: tuple,
-    d1_mask: int,
-    d2_mask: int,
-    ring: CozRing | None = None,
-    max_enum: int = DEFAULT_MAX_ENUM,
-    max_ring: int = DEFAULT_MAX_RING,
-) -> bool:
-    """Definitional oracle: scan every U in the ring with D1 <= U <= X \\ D2.
-
-    Returns True when some U admits f' matching f on D1 and vanishing on
-    Z(f) and outside U.  A False return certifies a controllability failure
-    at (f, D1, D2).
-    """
-    if ring is None:
-        ring = coz_ring(A, max_enum, max_ring)
-    full = (1 << A.n) - 1
-    zf = A.zero_set(f).mask
-    fvals = tuple(v for i, v in enumerate(A.values(f)) if d1_mask >> i & 1)
-    allowed = full & ~d2_mask
-    for u_mask in ring.masks:
-        if d1_mask & ~u_mask or u_mask & ~allowed:
-            continue
-        if _constraint_feasible(A, d1_mask, zf | (full & ~u_mask), fvals):
-            return True
-    return False
-
-
 def is_controllable(
     A: FunctionSpace,
     max_enum: int = DEFAULT_MAX_ENUM,
     max_ring: int = DEFAULT_MAX_RING,
 ):
-    """Exhaustive controllability test.
+    """Controllability: (True, None) iff A has exactly k point classes.
 
-    Returns (True, None) or (False, (f, D1, D2)) with the least failing
-    witness in (codeword, ring, ring) enumeration order.  The search over U
-    collapses to the single maximal candidate: the ring is closed under
-    unions, and feasibility only improves as U grows, so U may be taken to
-    be the union of every ring member disjoint from D2.
+    Otherwise (False, (f, D1, D2)) with the least failing witness in
+    (codeword, ring, ring) enumeration order.  With c the number of classes:
+
+    - c == k: the class representatives' columns form a basis of F^k, so
+      for every codeword f and union of classes S some codeword equals f on
+      S and 0 off S.  Taking U = X \\ D2 and that codeword for S = D1
+      satisfies every (f, D1, D2).
+    - c > k: take D1 = S and D2 = X \\ S for a union of classes S.  Then U
+      must equal S, so f * 1_S would lie in A for every f and S: the image
+      of A in F^c (values at the representatives) would be closed under
+      every coordinate restriction.  As no column is zero that image
+      contains a multiple of each unit vector, so it is all of F^c and
+      c = k, a contradiction.
+
+    A negative answer therefore scans for its witness.  Feasibility only
+    improves as U grows, so U is taken as the largest ring member disjoint
+    from D2, which is X \\ D2 because D2 is saturated.
     """
+    c = len(_class_masks(A, max_enum, max_ring))
+    if c == A.k:
+        return True, None
     ring = coz_ring(A, max_enum, max_ring)
-    full = (1 << A.n) - 1
-    # maximal admissible U per D2; D1 <= U holds automatically since D1 is
-    # itself a ring member disjoint from D2
-    max_u = {}
-    for d2 in ring.masks:
-        acc = 0
-        for d in ring.masks:
-            if d & d2 == 0:
-                acc |= d
-        max_u[d2] = acc
     cache: dict[tuple, bool] = {}
     for f in A.enumerate_codewords(max_enum):
         vals = A.values(f)
@@ -269,7 +259,7 @@ def is_controllable(
             for d2 in ring.masks:
                 if d1 & d2:
                     continue
-                zero_mask = zf | (full & ~max_u[d2])
+                zero_mask = zf | d2
                 key = (d1, zero_mask, fvals)
                 ok = cache.get(key)
                 if ok is None:
@@ -281,4 +271,4 @@ def is_controllable(
                         PointSet(A.space, d1),
                         PointSet(A.space, d2),
                     )
-    return True, None
+    raise TheoremViolation(f"{c} classes > k = {A.k}, yet no failing witness")

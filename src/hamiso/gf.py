@@ -52,15 +52,6 @@ def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
     return num
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return out
-
-
 def _is_irreducible(modulus: list[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..m//2."""
     m = len(modulus) - 1
@@ -90,6 +81,9 @@ class Field:
     """GF(p^m) with table-driven add/mul/neg/inv.  Immutable once built."""
 
     def __init__(self, p: int, m: int, modulus=None, order_bound: int = DEFAULT_ORDER_BOUND):
+        if p > order_bound or m > order_bound.bit_length():
+            # q > order_bound for sure: skip the costly primality test and power
+            raise OrderTooLarge(f"q = {p}^{m} exceeds the enumeration bound {order_bound}")
         if not _is_prime(p):
             raise NonPrime(f"{p} is not prime")
         if m < 1:
@@ -111,43 +105,42 @@ class Field:
         self.modulus = tuple(modulus)
         self._build_tables()
 
-    def _coeffs(self, index: int) -> list[int]:
-        out = []
-        for _ in range(self.m):
-            out.append(index % self.p)
-            index //= self.p
-        return out
-
-    def _index(self, coeffs: list[int]) -> int:
-        idx = 0
-        for c in reversed(coeffs[: self.m]):
-            idx = idx * self.p + (c % self.p)
-        return idx
-
     def _build_tables(self):
-        p, q = self.p, self.q
-        vecs = [self._coeffs(i) for i in range(q)]
-        self._add = [
-            tuple(self._index([(a + b) % p for a, b in zip(vecs[i], vecs[j])]) for j in range(q))
-            for i in range(q)
-        ]
-        mod = list(self.modulus)
-        mul = []
-        for i in range(q):
-            row = []
-            for j in range(q):
-                prod = _poly_mod(_poly_mul(vecs[i], vecs[j], p), mod, p)
-                row.append(self._index(prod + [0] * self.m))
-            mul.append(tuple(row))
-        self._mul = mul
-        self._neg = tuple(self._index([(-c) % p for c in vecs[i]]) for i in range(q))
-        inv = [0] * q
+        """Tables indexed by the base-p packed coefficients, built in O(q^2) look-ups.
+
+        Writing a = a0 + p * a' (a0 the constant coefficient, a' = a // p < a
+        the rest, shifted down one degree), addition and negation act digit by
+        digit on a0 and recurse on a', and multiplication by a is GF(p)-linear:
+        a * b = b0 * a + x * (a * b').  So each row of the multiplication table
+        is filled from its own earlier entries, the scalar multiples d * a for
+        d in GF(p), and the table of multiplication by x.
+        """
+        p, m, q = self.p, self.m, self.q
+        add = [tuple(range(q))]
+        neg = [0]
         for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv = tuple(inv)
+            a0, up = a % p, add[a // p]
+            add.append(tuple((a0 + b % p) % p + p * up[b // p] for b in range(q)))
+            neg.append(-a0 % p + p * neg[a // p])
+        scal = [[0] * q]
+        for _ in range(1, p):
+            scal.append([add[s][e] for s, e in zip(scal[-1], range(q))])
+        # x * e shifts e's coefficients up one degree and folds the top one
+        # back through x^m = -(modulus[0] + ... + modulus[m-1] x^(m-1)) / modulus[m]
+        top = q // p
+        lead_inv = pow(self.modulus[m], p - 2, p)
+        x_m = sum((-c * lead_inv) % p * p**i for i, c in enumerate(self.modulus[:m]))
+        xtimes = [add[e % top * p][scal[e // top][x_m]] for e in range(q)]
+        mul = []
+        for a in range(q):
+            row = [scal[d][a] for d in range(p)]
+            for b in range(p, q):
+                row.append(add[row[b % p]][xtimes[row[b // p]]])
+            mul.append(tuple(row))
+        self._add = add
+        self._mul = mul
+        self._neg = tuple(neg)
+        self._inv = (0,) + tuple(mul[a].index(1) for a in range(1, q))
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -206,5 +199,5 @@ def _cached_field(p, m, modulus, order_bound):
 
 def field_new(p: int, m: int = 1, modulus="auto", order_bound: int = DEFAULT_ORDER_BOUND) -> Field:
     """Construct (or fetch a cached copy of) GF(p^m)."""
-    key = None if modulus in (None, "auto") else tuple(c % p for c in modulus)
+    key = None if modulus in (None, "auto") else tuple(modulus)
     return _cached_field(p, m, key, order_bound)

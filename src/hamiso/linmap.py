@@ -6,7 +6,7 @@ import random
 
 from . import linalg
 from .errors import FieldMismatch, SeedRequired, SpaceMismatch, ZeroFunctional
-from .funspace import DEFAULT_MAX_ENUM, FunctionSpace
+from .funspace import DEFAULT_MAX_ENUM, FunctionSpace, field_rows
 from .quotient import projective_key
 
 
@@ -16,7 +16,7 @@ class LinMap:
     def __init__(self, domain: FunctionSpace, codomain: FunctionSpace, matrix):
         if domain.field != codomain.field:
             raise FieldMismatch("domain and codomain live over different fields")
-        matrix = [list(r) for r in matrix]
+        matrix = field_rows(domain.field, matrix)
         if len(matrix) != domain.k or any(len(r) != codomain.k for r in matrix):
             raise SpaceMismatch(
                 f"matrix must be {domain.k}x{codomain.k}, "
@@ -34,9 +34,6 @@ class LinMap:
 
     def is_injective(self) -> bool:
         return linalg.rank(self.field, [list(r) for r in self.matrix]) == self.domain.k
-
-    def is_surjective(self) -> bool:
-        return linalg.rank(self.field, [list(r) for r in self.matrix]) == self.codomain.k
 
     def is_bijective(self) -> bool:
         return self.domain.k == self.codomain.k and self.is_injective()

@@ -14,7 +14,7 @@ from .space import PointSpace
 
 
 def parse_rational(value) -> Fraction:
-    if isinstance(value, int):
+    if type(value) is int:  # not bool
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -34,6 +34,12 @@ def field_from_json(obj) -> Field:
     p = obj["p"]
     m = obj.get("m", 1)
     modulus = obj.get("modulus", "auto")
+    if type(p) is not int or type(m) is not int:
+        raise SchemaViolation(f"field 'p' and 'm' must be ints, got {p!r} and {m!r}")
+    if modulus not in (None, "auto") and not (
+        isinstance(modulus, list) and all(type(c) is int for c in modulus)
+    ):
+        raise SchemaViolation(f"field 'modulus' must be 'auto' or a list of ints, got {modulus!r}")
     return field_new(p, m, modulus)
 
 
@@ -42,12 +48,16 @@ def space_from_json(obj) -> PointSpace:
         raise SchemaViolation("space object needs 'labels'")
     labels = obj["labels"]
     measures = obj.get("measures")
+    if not isinstance(labels, list) or not isinstance(measures, (list, type(None))):
+        raise SchemaViolation("space 'labels' and 'measures' must be lists")
     if measures is not None:
         measures = [parse_rational(mu) for mu in measures]
     return PointSpace(labels, measures)
 
 
 def code_from_json(obj, normalize: bool | None = None) -> FunctionSpace:
+    if not isinstance(obj, dict):
+        raise SchemaViolation("a code must be a JSON object")
     for key in ("field", "space", "rows"):
         if key not in obj:
             raise SchemaViolation(f"code object is missing {key!r}")
@@ -56,14 +66,6 @@ def code_from_json(obj, normalize: bool | None = None) -> FunctionSpace:
     if normalize is None:
         normalize = bool(obj.get("normalize", False))
     return FunctionSpace(field, space, obj["rows"], normalize=normalize)
-
-
-def code_to_json(C: FunctionSpace) -> dict:
-    return {
-        "field": C.field.to_json(),
-        "space": C.space.to_json(),
-        "rows": [list(r) for r in C.gen],
-    }
 
 
 def _resolve(obj, base: Path | None):
@@ -77,6 +79,8 @@ def _resolve(obj, base: Path | None):
 
 
 def map_from_json(obj, base: Path | None = None) -> LinMap:
+    if not isinstance(obj, dict):
+        raise SchemaViolation("a map must be a JSON object")
     for key in ("domain", "codomain", "matrix"):
         if key not in obj:
             raise SchemaViolation(f"map object is missing {key!r}")

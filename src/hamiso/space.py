@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SpaceMismatch, UnknownPoint
+from .errors import SchemaViolation, SpaceMismatch, UnknownPoint
 
 
 class PointSpace:
@@ -14,16 +14,18 @@ class PointSpace:
     def __init__(self, labels, measures=None):
         labels = list(labels)
         if not labels:
-            raise ValueError("a point space needs at least one point")
+            raise SchemaViolation("a point space needs at least one point")
+        if any(isinstance(lab, (list, dict)) for lab in labels):
+            raise SchemaViolation("point labels must be strings or numbers")
         if len(set(labels)) != len(labels):
-            raise ValueError("point labels must be pairwise distinct")
+            raise SchemaViolation("point labels must be pairwise distinct")
         if measures is None:
             measures = [Fraction(1)] * len(labels)
         measures = [Fraction(mu) for mu in measures]
         if len(measures) != len(labels):
-            raise ValueError("need one measure per point")
+            raise SchemaViolation(f"{len(measures)} measures given for {len(labels)} points")
         if any(mu <= 0 for mu in measures):
-            raise ValueError("measures must be strictly positive")
+            raise SchemaViolation("measures must be strictly positive")
         self.labels = tuple(labels)
         self.measures = tuple(measures)
         self.n = len(labels)

@@ -1,0 +1,105 @@
+"""Definitional oracles for the cozero ring and controllability.
+
+The structural answers of hamiso.funspace are checked against these: the
+fixpoint closure of the cozero sets under union and intersection, the
+(codeword, D1, D2) scan whose maximal admissible U is found by a scan over
+every pair of ring members, and the check of one witness against every U.
+The closure and the scan enumerate all q^k codewords themselves.
+"""
+
+import itertools
+
+from hamiso import funspace
+from hamiso.errors import RingTooLarge
+from hamiso.funspace import DEFAULT_MAX_ENUM, DEFAULT_MAX_RING, CozRing, FunctionSpace, coz_ring
+
+
+def cozero_masks(A):
+    """coz(u) of every codeword u, packed-index order, evaluated column by column."""
+    F, cols = A.field, list(zip(*A.gen))
+    out = []
+    for t in itertools.product(range(F.q), repeat=A.k):
+        u = t[::-1]
+        mask = 0
+        for x, col in enumerate(cols):
+            v = 0
+            for a, c in zip(u, col):
+                v = F.add(v, F.mul(a, c))
+            if v:
+                mask |= 1 << x
+        out.append((u, mask))
+    return out
+
+
+def closure_ring(A, max_ring=DEFAULT_MAX_RING):
+    """Fixpoint closure of the cozero sets under pairwise union and intersection."""
+    gens = {mask for _, mask in cozero_masks(A)}
+    members = set(gens)
+    frontier = list(gens)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in members.copy():
+                for c in (a | b, a & b):
+                    if c not in members:
+                        members.add(c)
+                        fresh.append(c)
+                        if len(members) > max_ring:
+                            raise RingTooLarge(f"ring closure exceeds the bound {max_ring}")
+        frontier = fresh
+    return tuple(sorted(members))
+
+
+def scan_controllable(A):
+    """The least failing (f, D1, D2) in (codeword, ring, ring) order, or None.
+
+    U is taken as the union of every ring member disjoint from D2, found by
+    scanning all pairs of ring members.
+    """
+    ring = closure_ring(A)
+    full = (1 << A.n) - 1
+    max_u = {d2: 0 for d2 in ring}
+    for d2 in ring:
+        for d in ring:
+            if d & d2 == 0:
+                max_u[d2] |= d
+    for f, coz in cozero_masks(A):
+        vals = A.values(f)
+        zf = full & ~coz
+        for d1 in ring:
+            fvals = tuple(v for i, v in enumerate(vals) if d1 >> i & 1)
+            for d2 in ring:
+                if d1 & d2:
+                    continue
+                if not funspace._constraint_feasible(A, d1, zf | (full & ~max_u[d2]), fvals):
+                    return f, d1, d2
+    return None
+
+
+def controllable_witness_check(
+    A: FunctionSpace,
+    f: tuple,
+    d1_mask: int,
+    d2_mask: int,
+    ring: CozRing | None = None,
+    max_enum: int = DEFAULT_MAX_ENUM,
+    max_ring: int = DEFAULT_MAX_RING,
+) -> bool:
+    """Definitional oracle: scan every U in the ring with D1 <= U <= X \\ D2.
+
+    Returns True when some U admits f' matching f on D1 and vanishing on
+    Z(f) and outside U.  A False return certifies a controllability failure
+    at (f, D1, D2).
+    """
+    if ring is None:
+        ring = coz_ring(A, max_enum, max_ring)
+    full = (1 << A.n) - 1
+    zf = A.zero_set(f).mask
+    fvals = tuple(v for i, v in enumerate(A.values(f)) if d1_mask >> i & 1)
+    allowed = full & ~d2_mask
+    for u_mask in ring.masks:
+        if d1_mask & ~u_mask or u_mask & ~allowed:
+            continue
+        if funspace._constraint_feasible(A, d1_mask, zf | (full & ~u_mask), fvals):
+            return True
+    return False

@@ -23,12 +23,13 @@ from hamiso.decompose import (
     verify,
 )
 from hamiso.errors import TheoremViolation
-from hamiso.funspace import controllable_witness_check, coz_ring, is_controllable
+from hamiso.funspace import coz_ring, is_controllable
 from hamiso.gf import field_new
 from hamiso.linmap import LinMap, is_isometry, is_separating
 from hamiso.macwilliams import equivalence_decide
 from hamiso.quotient import build_quotient, lambda_scalar, related, related_fast
 from hamiso.space import PointSet
+from oracles import controllable_witness_check
 
 
 CORPUS_SEED = 20240824

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hamiso.cli import main
 
 
@@ -178,6 +180,62 @@ def test_parse_and_schema_errors_exit_1(tmp_path, capsys):
     )
     code, report = run(capsys, ["weight", "--code", notprime, "--coeffs", "1"])
     assert code == 1 and report["error"]["type"] == "NonPrime"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["weight", "--code", "CODE", "--coeffs", "-1,0"], ["quotient"], ["--max-enum", "x", "ring"]],
+)
+def test_usage_errors_exit_1(tmp_path, capsys, argv):
+    path = write_json(tmp_path, "f3.json", CODE_F3)
+    code, report = run(capsys, [path if a == "CODE" else a for a in argv])
+    assert code == 1 and report["error"]["type"] == "UsageError"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "controllable" in capsys.readouterr().out
+
+
+def malformed(field=(), space=(), rows=([1, 0], [0, 1])):
+    """CODE_F3 cut to two points, with some of its parts overridden."""
+    return {"field": {"p": 3, **dict(field)}, "space": {"labels": ["a", "b"], **dict(space)}, "rows": rows}
+
+
+@pytest.mark.parametrize(
+    "code_obj",
+    [
+        malformed(space={"labels": ["a", "a"]}),
+        malformed(space={"measures": [1]}),
+        malformed(rows=[["1", 0], [0, 1]]),
+        malformed(rows=[[True, 0], [0, 1]]),
+        malformed(rows=[[1.5, 0], [0, 1]]),
+        malformed(rows=7),
+        malformed(space={"measures": [True, 1]}),
+        malformed(space={"labels": [["a"], "b"]}),
+        malformed(field={"m": "x"}),
+        malformed(field={"p": 2305843009213693951}),
+        malformed(field={"p": 0, "modulus": [1, 1]}),
+    ],
+    ids=[
+        "duplicate-labels", "measure-count", "string-entry", "bool-entry", "float-entry",
+        "rows-not-list", "bool-measure", "list-label", "string-degree", "huge-prime",
+        "zero-prime-modulus",
+    ],
+)
+def test_malformed_code_exits_1(tmp_path, capsys, code_obj):
+    path = write_json(tmp_path, "bad.json", code_obj)
+    code, report = run(capsys, ["quotient", "--code", path])
+    assert code == 1 and set(report["error"]) == {"type", "message"}
+
+
+def test_malformed_map_matrix_exits_1(tmp_path, capsys):
+    for matrix in ([[1, 0, 0], [0, "1", 0], [0, 0, 1]], [[1, 0, 0], [0, 7, 0], [0, 0, 1]], 3):
+        path = write_json(tmp_path, "map.json", {"domain": CODE_F3, "codomain": CODE_F3, "matrix": matrix})
+        code, report = run(capsys, ["isometry", "--map", path])
+        assert code == 1 and report["error"]["type"] == "SchemaViolation"
 
 
 def test_isometry_sample_mode(tmp_path, capsys):

@@ -170,12 +170,16 @@ def test_negative_isometry_witness_is_least(isometry_cases):
         assert is_isometry(H) == (False, witness)
 
 
+def scaled(F, s, col):
+    return tuple(F.mul(s, c) for c in col)
+
+
 def classed_code(rng):
     """A code whose columns repeat up to scalars, so classes have several members."""
     F = generate.field_of_order(rng.choice([2, 3, 4, 5]))
     k = rng.randint(1, 3)
     base = random_columns(rng, F, k, rng.randint(k, k + 2))
-    cols = [tuple(F.mul(rng.randrange(1, F.q), c) for c in rng.choice(base)) for _ in range(6)]
+    cols = [scaled(F, rng.randrange(1, F.q), rng.choice(base)) for _ in range(6)]
     cols = base + cols
     rng.shuffle(cols)
     return FunctionSpace(F, space_of([1] * len(cols)), [list(r) for r in zip(*cols)])
@@ -232,7 +236,7 @@ def random_map(rng):
         return None
     if rng.random() < 0.5:
         ca = columns(A)
-        cols = [tuple(F.mul(rng.randrange(1, F.q), c) for c in rng.choice(ca)) for _ in range(4)]
+        cols = [scaled(F, rng.randrange(1, F.q), rng.choice(ca)) for _ in range(4)]
     else:
         cols = [tuple(rng.randrange(F.q) for _ in range(k)) for _ in range(4)]
     cols = [c for c in cols if any(c)]

@@ -127,3 +127,56 @@ def test_serialization_roundtrip():
     f = field_new(2, 2)
     assert f.to_json() == {"p": 2, "m": 2, "modulus": list(f.modulus)}
     assert field_new(3).to_json() == {"p": 3, "m": 1}
+
+
+def polynomial_tables(p, m, modulus):
+    """add, mul, neg and inv built pair by pair from residue polynomials."""
+    q = p**m
+
+    def coeffs(idx):
+        return [idx // p**i % p for i in range(m)]
+
+    def index(cs):
+        return sum(c % p * p**i for i, c in enumerate(cs[:m]))
+
+    def poly_mod(num):
+        num = list(num)
+        lead_inv = pow(modulus[m], p - 2, p)
+        while len(num) > m:
+            top = num.pop()
+            if top:
+                factor = top * lead_inv % p
+                for i in range(m):
+                    num[len(num) - m + i] = (num[len(num) - m + i] - factor * modulus[i]) % p
+        return num
+
+    vecs = [coeffs(i) for i in range(q)]
+    add = [tuple(index([a + b for a, b in zip(vecs[i], vecs[j])]) for j in range(q)) for i in range(q)]
+    mul = []
+    for i in range(q):
+        row = []
+        for j in range(q):
+            prod = [0] * (2 * m - 1)
+            for s, a in enumerate(vecs[i]):
+                for t, b in enumerate(vecs[j]):
+                    prod[s + t] = (prod[s + t] + a * b) % p
+            row.append(index(poly_mod(prod)))
+        mul.append(tuple(row))
+    neg = tuple(index([-c for c in vecs[i]]) for i in range(q))
+    inv = tuple(next((b for b in range(1, q) if mul[a][b] == 1), 0) for a in range(q))
+    return add, mul, neg, inv
+
+
+@pytest.mark.parametrize(
+    "p, m, modulus",
+    [(2, 1, None), (3, 1, None), (5, 1, None), (7, 1, None), (11, 1, None), (13, 1, None),
+     (2, 2, None), (2, 2, [1, 1, 1]), (2, 3, None), (3, 2, None), (2, 4, None),
+     (3, 2, [2, 0, 2]), (5, 2, [1, 0, 3]), (2, 8, None), (3, 5, None)],
+)
+def test_tables_match_polynomial_construction(p, m, modulus):
+    f = Field(p, m, modulus)
+    add, mul, neg, inv = polynomial_tables(p, m, list(f.modulus))
+    assert [tuple(r) for r in f._add] == add
+    assert [tuple(r) for r in f._mul] == mul
+    assert tuple(f._neg) == neg
+    assert tuple(f._inv) == inv
