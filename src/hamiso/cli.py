@@ -243,14 +243,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _bound(text: str) -> int:
+    """A guard bound: a non-negative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a bound must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hamiso",
         description="Exact weighted-composition analysis of finite-field function spaces",
     )
-    parser.add_argument("--max-enum", type=int, default=funspace.DEFAULT_MAX_ENUM)
-    parser.add_argument("--max-ring", type=int, default=funspace.DEFAULT_MAX_RING)
-    parser.add_argument("--max-search", type=int, default=macwilliams.DEFAULT_MAX_SEARCH)
+    parser.add_argument("--max-enum", type=_bound, default=funspace.DEFAULT_MAX_ENUM)
+    parser.add_argument("--max-ring", type=_bound, default=funspace.DEFAULT_MAX_RING)
+    parser.add_argument("--max-search", type=_bound, default=macwilliams.DEFAULT_MAX_SEARCH)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--output", default=None, help="report path, stdout by default")
     parser.add_argument("--diagnostic", action="store_true", help="enable slow-path oracles")

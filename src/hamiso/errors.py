@@ -82,7 +82,7 @@ class NotMonomial(HamisoError):
 
 
 class TheoremViolation(HamisoError):
-    """The two equivalence searches disagreed; indicates an implementation bug."""
+    """A theorem the library relies on failed on an instance; indicates an implementation bug."""
 
 
 class ParseError(HamisoError):
@@ -91,6 +91,11 @@ class ParseError(HamisoError):
 
 class SchemaViolation(HamisoError, ValueError):
     """Malformed input: a file or object that does not describe a valid space or code."""
+
+
+class InvalidArgument(HamisoError, ValueError):
+    """A call got an argument outside its domain: a dimension above the
+    length, a bitmask wider than its space, a vector outside the codomain."""
 
 
 class UsageError(HamisoError):

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from . import linalg
+from .errors import InvalidArgument
 from .funspace import FunctionSpace
 from .gf import Field, field_new
 from .linmap import LinMap
@@ -44,7 +45,7 @@ def random_code(
 ) -> FunctionSpace:
     """A k-dimensional length-n code with no zero column, random positive measure."""
     if k > n:
-        raise ValueError(f"dimension {k} cannot exceed length {n}")
+        raise InvalidArgument(f"dimension {k} cannot exceed length {n}")
     field = field_of_order(q)
     space = point_space(n, random_measures(rng, n, uniform_measure))
     while True:
@@ -80,7 +81,7 @@ def monomial_linmap(T: MonomialMap, A: FunctionSpace, B: FunctionSpace) -> LinMa
 def _coordinates(field, B: FunctionSpace, vec):
     coords = linalg.solve(field, [list(B.column(j)) for j in range(B.n)], list(vec))
     if coords is None:
-        raise ValueError("image vector is not in the codomain")
+        raise InvalidArgument("image vector is not in the codomain")
     return coords
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from . import linalg
-from .errors import FieldMismatch, SeedRequired, SpaceMismatch, ZeroFunctional
+from .errors import FieldMismatch, SeedRequired, SpaceMismatch, TheoremViolation, ZeroFunctional
 from .funspace import DEFAULT_MAX_ENUM, FunctionSpace, field_rows
 from .quotient import projective_key
 
@@ -174,5 +174,6 @@ def disjointness_additivity(A: FunctionSpace, f, g) -> bool:
     """Both sides of: coz(f) and coz(g) disjoint iff wt(f+g) = wt(f) + wt(g)."""
     disjoint = A.coz(f).mask & A.coz(g).mask == 0
     additive = A.weight(A.codeword_add(f, g)) == A.weight(f) + A.weight(g)
-    assert disjoint == additive, "disjointness/additivity equivalence violated"
+    if disjoint != additive:
+        raise TheoremViolation("disjointness/additivity equivalence violated")
     return disjoint

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SchemaViolation, SpaceMismatch, UnknownPoint
+from .errors import InvalidArgument, SchemaViolation, SpaceMismatch, UnknownPoint
 
 
 class PointSpace:
@@ -95,7 +95,7 @@ class PointSet:
 
     def __post_init__(self):
         if not 0 <= self.mask < (1 << self.space.n):
-            raise ValueError("bitmask wider than the point space")
+            raise InvalidArgument("bitmask wider than the point space")
 
     def _check(self, other: "PointSet"):
         if self.space != other.space:

@@ -1,17 +1,21 @@
-"""Definitional oracles for the cozero ring and controllability.
+"""Definitional oracles for the cozero ring, controllability and monomial search.
 
 The structural answers of hamiso.funspace are checked against these: the
 fixpoint closure of the cozero sets under union and intersection, the
 (codeword, D1, D2) scan whose maximal admissible U is found by a scan over
 every pair of ring members, and the check of one witness against every U.
 The closure and the scan enumerate all q^k codewords themselves.
+hamiso.macwilliams.monomial_search is checked against the walk over all
+n! (q-1)^n monomials.
 """
 
 import itertools
+from math import factorial
 
-from hamiso import funspace
-from hamiso.errors import RingTooLarge
+from hamiso import funspace, linalg
+from hamiso.errors import RingTooLarge, SearchTooLarge
 from hamiso.funspace import DEFAULT_MAX_ENUM, DEFAULT_MAX_RING, CozRing, FunctionSpace, coz_ring
+from hamiso.macwilliams import DEFAULT_MAX_SEARCH, MonomialMap, _check_pair, weight_distribution
 
 
 def cozero_masks(A):
@@ -103,3 +107,35 @@ def controllable_witness_check(
         if funspace._constraint_feasible(A, d1_mask, zf | (full & ~u_mask), fvals):
             return True
     return False
+
+
+def brute_monomial_search(
+    C1: FunctionSpace,
+    C2: FunctionSpace,
+    max_search: int = DEFAULT_MAX_SEARCH,
+    max_enum: int = DEFAULT_MAX_ENUM,
+) -> MonomialMap | None:
+    """First monomial T (lexicographic in sigma, then w) with T(C1) = C2.
+
+    Returns None when the codes are not equivalent.  Tries every sigma in
+    itertools.permutations order and every w in product(field.nonzero())
+    order, with one rref per candidate.
+    """
+    _check_pair(C1, C2)
+    n, q = C1.n, C1.field.q
+    if factorial(n) * (q - 1) ** n > max_search:
+        raise SearchTooLarge(f"{factorial(n)}*{(q - 1)**n} monomials exceed {max_search}")
+    if C1.k != C2.k:
+        return None
+    if weight_distribution(C1, max_enum) != weight_distribution(C2, max_enum):
+        return None
+    field = C1.field
+    target = C2.gen
+    rows1 = [list(r) for r in C1.gen]
+    for sigma in itertools.permutations(range(n)):
+        permuted = [[row[sigma[j]] for j in range(n)] for row in rows1]
+        for w in itertools.product(field.nonzero(), repeat=n):
+            image = [[field.mul(row[j], w[j]) for j in range(n)] for row in permuted]
+            if tuple(tuple(r) for r in linalg.rref(field, image)) == target:
+                return MonomialMap(sigma, w)
+    return None

@@ -164,6 +164,15 @@ def test_macwilliams(tmp_path, capsys):
     assert code == 2 and report["equivalent"] is False
 
 
+def test_macwilliams_theorem_violation_exits_1(tmp_path, capsys, monkeypatch):
+    from hamiso import macwilliams
+
+    monkeypatch.setattr(macwilliams, "is_isometry", lambda H, max_enum: (False, (1, 0)))
+    path = write_json(tmp_path, "c.json", dict(CODE_F3, rows=[[1, 1, 0], [0, 1, 1]]))
+    code, report = run(capsys, ["macwilliams", "--c1", path, "--c2", path])
+    assert code == 1 and report["error"]["type"] == "TheoremViolation"
+
+
 def test_parse_and_schema_errors_exit_1(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     code, report = run(capsys, ["weight", "--code", missing, "--coeffs", "1"])
@@ -190,6 +199,16 @@ def test_usage_errors_exit_1(tmp_path, capsys, argv):
     path = write_json(tmp_path, "f3.json", CODE_F3)
     code, report = run(capsys, [path if a == "CODE" else a for a in argv])
     assert code == 1 and report["error"]["type"] == "UsageError"
+
+
+@pytest.mark.parametrize("flag", ["--max-enum", "--max-ring", "--max-search"])
+def test_negative_bounds_are_usage_errors(tmp_path, capsys, flag):
+    path = write_json(tmp_path, "f3.json", CODE_F3)
+    code, report = run(capsys, [flag, "-1", "quotient", "--code", path])
+    assert code == 1 and report["error"]["type"] == "UsageError"
+    assert "non-negative" in report["error"]["message"]
+    code, report = run(capsys, [flag, "0", "quotient", "--code", path])
+    assert code == 0 and report["config"][flag[2:].replace("-", "_")] == 0
 
 
 def test_help_exits_0(capsys):

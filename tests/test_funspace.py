@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hamiso import generate
-from hamiso.errors import EnumerationTooLarge, ZeroColumn, ZeroSpace
+from hamiso.errors import EnumerationTooLarge, InvalidArgument, ZeroColumn, ZeroSpace
 from hamiso.funspace import FunctionSpace, coz_ring, is_controllable
 from hamiso.gf import field_new
 from hamiso.space import PointSpace
@@ -171,3 +171,9 @@ def test_controllable_matches_naive_u_scan():
             if d1 & d2 == 0
         )
         assert is_controllable(C)[0] == naive
+
+
+def test_random_code_rejects_dimension_above_length():
+    with pytest.raises(InvalidArgument) as info:
+        generate.random_code(random.Random(1), 2, 3, 4)
+    assert isinstance(info.value, ValueError)

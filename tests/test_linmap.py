@@ -3,9 +3,11 @@ import random
 import pytest
 
 from hamiso import generate, linalg
-from hamiso.errors import SeedRequired, SpaceMismatch
+from hamiso.errors import InvalidArgument, SeedRequired, SpaceMismatch, TheoremViolation
+from hamiso.funspace import FunctionSpace
 from hamiso.gf import field_new
 from hamiso.linmap import LinMap, disjointness_additivity, is_isometry, is_separating
+from hamiso.macwilliams import MonomialMap
 
 
 GF2 = field_new(2)
@@ -144,7 +146,24 @@ def test_disjointness_additivity():
         words = list(C.enumerate_codewords())
         for u in words:
             for v in words:
-                disjointness_additivity(C, u, v)  # internal agreement assert
+                disjointness_additivity(C, u, v)  # raises if the two sides disagree
+
+
+def test_disjointness_additivity_raises_when_the_sides_disagree(monkeypatch):
+    A = full2(GF2, 2)
+    monkeypatch.setattr(A, "weight", lambda u: 1)
+    # coz(1, 0) and coz(0, 1) are disjoint, but 1 != 1 + 1
+    with pytest.raises(TheoremViolation):
+        disjointness_additivity(A, (1, 0), (0, 1))
+
+
+def test_monomial_linmap_rejects_an_image_outside_the_codomain():
+    A = full2(GF2, 2)
+    B = FunctionSpace(GF2, A.space, [[1, 1]])
+    T = MonomialMap((0, 1), (1, 1))
+    with pytest.raises(InvalidArgument) as info:
+        generate.monomial_linmap(T, A, B)
+    assert isinstance(info.value, ValueError)
 
 
 def test_distance_preservation_equivalent_to_weight_preservation():

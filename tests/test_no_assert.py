@@ -1,0 +1,19 @@
+"""No library check may rest on `assert`, which `python -O` removes."""
+
+import ast
+import pathlib
+
+import hamiso
+
+SOURCES = sorted(pathlib.Path(hamiso.__file__).parent.glob("*.py"))
+
+
+def test_library_has_no_assert_statements():
+    assert SOURCES
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from hamiso.errors import SpaceMismatch
-from hamiso.space import PointSpace, measure
+from hamiso.errors import InvalidArgument, SpaceMismatch
+from hamiso.space import PointSet, PointSpace, measure
 
 
 @pytest.fixture
@@ -60,6 +60,13 @@ def test_invalid_spaces():
         PointSpace(["a"], [0])
     with pytest.raises(ValueError):
         PointSpace(["a"], [Fraction(-1, 2)])
+
+
+def test_point_set_rejects_a_bitmask_wider_than_its_space(abc):
+    for mask in (8, -1):
+        with pytest.raises(InvalidArgument) as info:
+            PointSet(abc, mask)
+        assert isinstance(info.value, ValueError)
 
 
 def test_json():
