@@ -137,7 +137,13 @@ def cmd_separating(args, cfg):
     return report, 0 if ok else 2
 
 
-def _decompose_report(H, cfg):
+def _monomial(sigma, w) -> dict:
+    """A monomial map as reported: 1-based sigma, then the weights."""
+    return {"sigma": [i + 1 for i in sigma], "w": list(w)}
+
+
+def cmd_decompose(args, cfg):
+    H = load_map(args.map)
     out = decompose(H)
     if isinstance(out, Refutation):
         return {
@@ -151,7 +157,7 @@ def _decompose_report(H, cfg):
                 "point": H.codomain.space.labels[out.witness_y],
                 "functional": list(out.functional),
             },
-        }, out
+        }, 2
     xs = H.domain.space
     ys = H.codomain.space
     report = {
@@ -163,17 +169,10 @@ def _decompose_report(H, cfg):
         "witness": None,
     }
     try:
-        sigma, w = monomial_form(out, H)
-        report["monomial"] = {"sigma": [i + 1 for i in sigma], "w": list(w)}
+        report["monomial"] = _monomial(*monomial_form(out, H))
     except NotMonomial:
         report["monomial"] = None
-    return report, out
-
-
-def cmd_decompose(args, cfg):
-    H = load_map(args.map)
-    report, _ = _decompose_report(H, cfg)
-    return report, 0 if report["status"] == "composition" else 2
+    return report, 0
 
 
 def cmd_verify(args, cfg):
@@ -194,7 +193,7 @@ def cmd_monomial_form(args, cfg):
         sigma, w = monomial_form(out, H)
     except NotMonomial as exc:
         return {"monomial": None, "obstruction": str(exc)}, 2
-    return {"monomial": {"sigma": [i + 1 for i in sigma], "w": list(w)}, "obstruction": None}, 0
+    return {"monomial": _monomial(sigma, w), "obstruction": None}, 0
 
 
 def cmd_macwilliams(args, cfg):
@@ -205,9 +204,7 @@ def cmd_macwilliams(args, cfg):
     isom = result["isometry"]
     report = {
         "equivalent": result["equivalent"],
-        "monomial": (
-            {"sigma": [i + 1 for i in mono.sigma], "w": list(mono.w)} if mono else None
-        ),
+        "monomial": _monomial(mono.sigma, mono.w) if mono else None,
         "isometry_matrix": [list(r) for r in isom.matrix] if isom else None,
         "decompose_roundtrip": result["decompose_roundtrip"],
     }
@@ -220,19 +217,28 @@ def cmd_selftest(args, cfg):
     return report, 0 if ok else 2
 
 
+# name -> (handler, help, required options), in --help order
 COMMANDS = {
-    "weight": cmd_weight,
-    "distance": cmd_distance,
-    "quotient": cmd_quotient,
-    "ring": cmd_ring,
-    "controllable": cmd_controllable,
-    "isometry": cmd_isometry,
-    "separating": cmd_separating,
-    "decompose": cmd_decompose,
-    "verify": cmd_verify,
-    "monomial-form": cmd_monomial_form,
-    "macwilliams": cmd_macwilliams,
-    "selftest": cmd_selftest,
+    "weight": (cmd_weight, "measured Hamming weight of one codeword", ("--code", "--coeffs")),
+    "distance": (
+        cmd_distance,
+        "Hamming distance between two codewords",
+        ("--code", "--coeffs1", "--coeffs2"),
+    ),
+    "quotient": (cmd_quotient, "point classes and their connecting scalars", ("--code",)),
+    "ring": (cmd_ring, "ring generated by the cozero sets: every union of point classes", ("--code",)),
+    "controllable": (
+        cmd_controllable,
+        "controllability: exactly k point classes; least witness otherwise",
+        ("--code",),
+    ),
+    "isometry": (cmd_isometry, "bijective + weight-preserving check", ("--map",)),
+    "separating": (cmd_separating, "disjointness-preservation check", ("--map",)),
+    "decompose": (cmd_decompose, "weighted-composition extraction", ("--map",)),
+    "verify": (cmd_verify, "decompose and re-verify on all codewords", ("--map",)),
+    "monomial-form": (cmd_monomial_form, "classical permutation/scaling form", ("--map",)),
+    "macwilliams": (cmd_macwilliams, "monomial and isometry equivalence of two codes", ("--c1", "--c2")),
+    "selftest": (cmd_selftest, "run the built-in invariant suite", ()),
 }
 
 
@@ -266,35 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", default=None, help="report path, stdout by default")
     parser.add_argument("--diagnostic", action="store_true", help="enable slow-path oracles")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def code_cmd(name, help):
+    for name, (_, help, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help)
-        p.add_argument("--code", required=True)
-        return p
-
-    def map_cmd(name, help):
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--map", required=True)
-        return p
-
-    p = code_cmd("weight", "measured Hamming weight of one codeword")
-    p.add_argument("--coeffs", required=True)
-    p = code_cmd("distance", "Hamming distance between two codewords")
-    p.add_argument("--coeffs1", required=True)
-    p.add_argument("--coeffs2", required=True)
-    code_cmd("quotient", "point classes and their connecting scalars")
-    code_cmd("ring", "ring generated by the cozero sets: every union of point classes")
-    code_cmd("controllable", "controllability: exactly k point classes; least witness otherwise")
-    map_cmd("isometry", "bijective + weight-preserving check")
-    map_cmd("separating", "disjointness-preservation check")
-    map_cmd("decompose", "weighted-composition extraction")
-    map_cmd("verify", "decompose and re-verify on all codewords")
-    map_cmd("monomial-form", "classical permutation/scaling form")
-    p = sub.add_parser("macwilliams", help="monomial and isometry equivalence of two codes")
-    p.add_argument("--c1", required=True)
-    p.add_argument("--c2", required=True)
-    sub.add_parser("selftest", help="run the built-in invariant suite")
+        for option in options:
+            p.add_argument(option, required=True)
     return parser
+
+
+PARSER = build_parser()
 
 
 def _error_report(exc: HamisoError) -> dict:
@@ -302,9 +287,8 @@ def _error_report(exc: HamisoError) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except UsageError as exc:
         _emit(_error_report(exc), RunConfig(), None, None)
         return 1
@@ -316,7 +300,7 @@ def main(argv=None) -> int:
         diagnostic=args.diagnostic,
     )
     try:
-        report, code = COMMANDS[args.command](args, cfg)
+        report, code = COMMANDS[args.command][0](args, cfg)
     except HamisoError as exc:
         _emit(_error_report(exc), cfg, args.output, args.command)
         return 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import EnumerationTooLarge, NotMonomial, NotSaturated, ZeroFunctional
+from .errors import EnumerationTooLarge, NotMonomial, NotSaturated, TheoremViolation, ZeroFunctional
 from .linmap import LinMap
 from .quotient import Quotient, build_quotient, is_saturated, lambda_scalar, projective_key
 from .space import PointSet
@@ -132,7 +132,7 @@ def decompose(H: LinMap):
     D = Decomposition(tuple(h), reps, tuple(omega), qx, qy, verified=False)
     if not verify(D, H):
         # the extraction is its own proof; a failure here is a bug
-        raise AssertionError("decomposition failed its own verification")
+        raise TheoremViolation("decomposition failed its own verification")
     return Decomposition(tuple(h), reps, tuple(omega), qx, qy, verified=True)
 
 

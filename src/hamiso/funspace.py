@@ -78,7 +78,7 @@ class FunctionSpace:
 
     def values(self, u) -> tuple:
         """Pointwise values of u . gen across the whole space."""
-        return tuple(linalg.vec_mat(self.field, list(u), [list(r) for r in self.gen]))
+        return tuple(linalg.vec_mat(self.field, u, self.gen))
 
     def coz(self, u) -> PointSet:
         vals = self.values(u)
@@ -130,7 +130,7 @@ class FunctionSpace:
 
     def solve_values(self, constraints) -> list[int] | None:
         """A coefficient vector u with (u.gen)(x) = v for every (x, v), or None."""
-        a_rows = [list(self.column(x)) for x, _ in constraints]
+        a_rows = [self.column(x) for x, _ in constraints]
         b = [v for _, v in constraints]
         if not a_rows:
             return [0] * self.k
@@ -138,7 +138,7 @@ class FunctionSpace:
 
     def vanishing_basis(self, mask: int) -> list[list[int]]:
         """Basis of {u : u.gen vanishes on every point of mask}."""
-        rows = [list(self.column(i)) for i in range(self.n) if mask >> i & 1]
+        rows = [self.column(i) for i in range(self.n) if mask >> i & 1]
         if not rows:
             return linalg.identity(self.k)
         return linalg.nullspace(self.field, rows)

@@ -79,7 +79,7 @@ def monomial_linmap(T: MonomialMap, A: FunctionSpace, B: FunctionSpace) -> LinMa
 
 
 def _coordinates(field, B: FunctionSpace, vec):
-    coords = linalg.solve(field, [list(B.column(j)) for j in range(B.n)], list(vec))
+    coords = linalg.solve(field, [B.column(j) for j in range(B.n)], vec)
     if coords is None:
         raise InvalidArgument("image vector is not in the codomain")
     return coords

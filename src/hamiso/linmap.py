@@ -30,10 +30,10 @@ class LinMap:
     def apply(self, u) -> tuple:
         if len(u) != self.domain.k:
             raise SpaceMismatch(f"coefficient vector has length {len(u)}, expected {self.domain.k}")
-        return tuple(linalg.vec_mat(self.field, list(u), [list(r) for r in self.matrix]))
+        return tuple(linalg.vec_mat(self.field, u, self.matrix))
 
     def is_injective(self) -> bool:
-        return linalg.rank(self.field, [list(r) for r in self.matrix]) == self.domain.k
+        return linalg.rank(self.field, self.matrix) == self.domain.k
 
     def is_bijective(self) -> bool:
         return self.domain.k == self.codomain.k and self.is_injective()
@@ -42,7 +42,7 @@ class LinMap:
         """self after other: (self . other)(u) = self(other(u))."""
         if other.codomain != self.domain:
             raise SpaceMismatch("composition shapes do not match")
-        m = linalg.mat_mul(self.field, [list(r) for r in other.matrix], [list(r) for r in self.matrix])
+        m = linalg.mat_mul(self.field, other.matrix, self.matrix)
         return LinMap(other.domain, self.codomain, m)
 
     def inverse(self) -> "LinMap":

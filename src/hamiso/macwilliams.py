@@ -106,15 +106,16 @@ def monomial_search(
     before any of these: T sends a codeword nonzero at sigma(j) to one of
     the same weight nonzero at j, so column sigma(j) of C1 and column j of
     C2 have the same profile (the number of codewords of each weight
-    nonzero there), and sigma(j) only ranges over such columns.
+    nonzero there), and sigma(j) only ranges over such columns.  Equal
+    profile multisets also give equal weight distributions: for w > 0 the
+    number of weight-w codewords is the sum of the profiles' weight-w
+    entries divided by w, and each code has one zero codeword.
     """
     _check_pair(C1, C2)
     n, q = C1.n, C1.field.q
     if factorial(n) * (q - 1) ** n > max_search:
         raise SearchTooLarge(f"{factorial(n)}*{(q - 1)**n} monomials exceed {max_search}")
     if C1.k != C2.k:
-        return None
-    if weight_distribution(C1, max_enum) != weight_distribution(C2, max_enum):
         return None
     prof1, prof2 = _column_profiles(C1, max_enum), _column_profiles(C2, max_enum)
     if sorted(prof1) != sorted(prof2):
@@ -273,7 +274,7 @@ def isometry_search(
             return True
         for cand in candidates:
             rows.append(cand)
-            if linalg.rank(field, [list(r) for r in rows]) == depth + 1 and _partial_ok(depth):
+            if linalg.rank(field, rows) == depth + 1 and _partial_ok(depth):
                 if extend(depth + 1):
                     return True
             rows.pop()
@@ -296,7 +297,7 @@ def isometry_search(
         return True
 
     if extend(0):
-        return LinMap(C1, C2, [list(r) for r in rows])
+        return LinMap(C1, C2, rows)
     return None
 
 

@@ -1,7 +1,9 @@
+import importlib
 import json
 
 import pytest
 
+from hamiso import cli
 from hamiso.cli import main
 
 
@@ -300,3 +302,43 @@ def test_keys_sorted(tmp_path, capsys):
     out = capsys.readouterr().out
     keys = list(json.loads(out).keys())
     assert keys == sorted(keys)
+
+
+def test_decompose_failing_its_own_verification_exits_1(tmp_path, capsys, monkeypatch):
+    decompose = importlib.import_module("hamiso.decompose")  # the package exports a function of that name
+    monkeypatch.setattr(decompose, "verify", lambda D, H, max_enum=None: False)
+    map_obj = {"domain": CODE_F3, "codomain": CODE_F3, "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    code, report = run(capsys, ["decompose", "--map", write_json(tmp_path, "map.json", map_obj)])
+    assert code == 1 and report["error"]["type"] == "TheoremViolation"
+
+
+def raw(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def test_main_parses_without_building_a_parser(tmp_path, capsys, monkeypatch):
+    argvs = [["quotient", "--code", write_json(tmp_path, "f3.json", CODE_F3)], ["selftest"]]
+    before = [raw(capsys, argv) for argv in argvs]
+
+    def refuse():
+        raise RuntimeError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert [raw(capsys, argv) for argv in argvs] == before
+
+
+REQUIRED = [(name, option) for name, (_, _, options) in cli.COMMANDS.items() for option in options]
+
+
+@pytest.mark.parametrize("name, option", REQUIRED, ids=[f"{n}{o}" for n, o in REQUIRED])
+def test_each_required_option_is_required(capsys, name, option):
+    others = [a for o in cli.COMMANDS[name][2] if o != option for a in (o, "x")]
+    code, report = run(capsys, [name, *others])
+    assert code == 1 and report["error"]["type"] == "UsageError"
+    assert report["error"]["message"].endswith(f"required: {option}")
+
+
+def test_main_twice_gives_the_same_output(tmp_path, capsys):
+    for argv in (["quotient"], ["quotient", "--code", write_json(tmp_path, "f3.json", CODE_F3)]):
+        assert raw(capsys, argv) == raw(capsys, argv)

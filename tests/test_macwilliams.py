@@ -262,11 +262,23 @@ def test_monomial_search_matches_brute_force():
     assert min(seen.values()) >= 10 and seen["equivalent"] >= 150, seen
 
 
+def test_search_never_needs_the_weight_distribution(monkeypatch):
+    # equal profile multisets imply equal weight distributions, so the
+    # search decides every pair, the equal-distribution ones included,
+    # without computing them
+    def refuse(C, max_enum):
+        raise RuntimeError("monomial_search computed a weight distribution")
+
+    monkeypatch.setattr(macwilliams, "weight_distribution", refuse)
+    rng = random.Random(5)
+    for C1, C2 in [random_pair(rng) for _ in range(60)] + [same_wd_pair(rng) for _ in range(10)]:
+        assert monomial_search(C1, C2) == brute_monomial_search(C1, C2), (C1.gen, C2.gen)
+
+
 def test_pivot_search_alone_matches_brute_force(monkeypatch):
-    # with the weight distributions and the column profiles made blind, the
-    # pivot and ratio conditions alone must reject every inequivalent pair
-    # of equal dimension and still find the least monomial
-    monkeypatch.setattr(macwilliams, "weight_distribution", lambda C, max_enum: ())
+    # with the column profiles made blind, the pivot and ratio conditions
+    # alone must reject every inequivalent pair of equal dimension and
+    # still find the least monomial
     monkeypatch.setattr(macwilliams, "_column_profiles", lambda C, max_enum: [()] * C.n)
     rng = random.Random(7)
     negatives = 0
